@@ -9,14 +9,12 @@ decisions.  The design constraints, in order:
   pattern as :attr:`repro.obs.events.EventBus.active`.  A config without
   a plan (or with an all-zero plan) builds no injector at all, so the
   run is bit-identical to one that predates this module.
-* **Deterministic and shard-invariant.**  Each (site, node) pair owns an
-  independent ``random.Random`` stream seeded from the string
+* **Deterministic.**  Each (site, node) pair owns an independent
+  ``random.Random`` stream seeded from the string
   ``"{seed}:{site}:{node}"`` (CPython seeds strings through SHA-512, so
-  streams are identical across processes and ``PYTHONHASHSEED``
-  settings).  Draws happen at points whose per-node order does not
-  depend on how the machine is sharded — a message's arbitration order
-  at its destination port, a node's own send order, a home's delivery
-  order — so a faulty run is *also* bit-identical at any shard count.
+  a given plan makes the same draws on any host, in any worker process
+  and under any ``PYTHONHASHSEED``).  A draw at one (site, node) never
+  shifts another pair's stream.
 * **Legal faults only.**  The injected faults are ones the paper's
   protocol must already tolerate: bounded extra delivery delay at a
   network exit port (a congested link), duplicate delivery of the
@@ -147,11 +145,9 @@ DEFAULT_CHAOS_PLAN = FaultPlan(
 class FaultInjector:
     """Per-site deterministic fault decisions for one machine.
 
-    One injector serves one machine (or one region of a sharded
-    machine); streams are keyed by (site, node), so per-region
-    injectors built from the same plan draw exactly the streams a
-    single-machine injector would — sharded fault runs stay
-    bit-identical at any shard count.
+    One injector serves one machine.  Streams are keyed by (site,
+    node) and seeded from strings, so the same plan draws the same
+    values on any host and under any ``PYTHONHASHSEED``.
     """
 
     def __init__(
@@ -193,8 +189,7 @@ class FaultInjector:
             now = self.sim.now if self.sim is not None else 0
             bus.emit("fault.inject", now, node=node, site=site, **data)
 
-    # -- decision points (one call per legal opportunity, in an order
-    # -- that is invariant under sharding) ------------------------------
+    # -- decision points (one call per legal opportunity) -------------
 
     def net_delay(self, dst: int) -> int:
         """Extra exit-port hold at ``dst`` for the arriving message."""

@@ -34,7 +34,6 @@ from ..memory.directory import Directory, DirState
 from ..memory.module import MemoryModule
 from ..memory.reservations import make_reservation_table
 from ..network.mesh import WormholeMesh
-from ..network.shardmesh import ShardedWormholeMesh
 from ..obs.events import EventBus
 from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import maybe_attach as _maybe_attach_telemetry
@@ -60,22 +59,11 @@ class Node:
 
 
 class Machine:
-    """A directory-based cache-coherent DSM multiprocessor.
+    """A directory-based cache-coherent DSM multiprocessor."""
 
-    When ``region`` is given (an iterable of node indices), the machine
-    is one shard of a larger run: only the region's nodes get real
-    components, the mesh is a :class:`ShardedWormholeMesh` that queues
-    boundary-crossing messages for the window coordinator, and spawns /
-    initializing writes addressed to out-of-region nodes become no-ops
-    (the region owning those nodes performs them).  See
-    :mod:`repro.harness.shardrun`.
-    """
-
-    def __init__(self, config: SimConfig,
-                 region: Optional[Iterable[int]] = None) -> None:
+    def __init__(self, config: SimConfig) -> None:
         config.validate()
         self.config = config
-        self.region = frozenset(region) if region is not None else None
         # Observability spine: one metrics registry and one event bus,
         # shared by every component (see docs/observability.md).
         self.registry = MetricsRegistry()
@@ -92,27 +80,20 @@ class Machine:
             )
         else:
             self.faults = None
-        if self.region is None:
-            self.mesh: WormholeMesh = WormholeMesh(
-                self.sim, config, registry=self.registry, events=self.events
-            )
-        else:
-            self.mesh = ShardedWormholeMesh(
-                self.sim, config, self.region, registry=self.registry,
-                events=self.events,
-            )
+        self.mesh = WormholeMesh(
+            self.sim, config, registry=self.registry, events=self.events
+        )
         self.mesh.faults = self.faults
         self.address = AddressSpace(config.machine)
         self.stats = MachineStats()
         self.stats.attach_registry(self.registry)
         self.barriers = BarrierManager(self.sim)
         self._policies: dict[int, SyncPolicy] = {}
+        self.nodes: list[Node] = []
         self._running_programs = 0
 
         n = config.machine.n_nodes
-        local = range(n) if self.region is None else sorted(self.region)
-        self.nodes: list[Node] = [None] * n  # type: ignore[list-item]
-        for i in local:
+        for i in range(n):
             memory = MemoryModule(self.sim, i, config, registry=self.registry,
                                   events=self.events)
             directory = Directory(
@@ -129,9 +110,9 @@ class Machine:
             reservations.fault_node = i
             controller = CacheController(i, self.mesh, config, self)
             home = HomeNode(i, self.mesh, memory, directory, reservations, self)
-            # Processor needs nodes[i].controller; create after assigning.
-            self.nodes[i] = Node(i, None, controller, memory, home)  # type: ignore[arg-type]
-        for i in local:
+            # Processor needs nodes[i].controller; create after appending.
+            self.nodes.append(Node(i, None, controller, memory, home))  # type: ignore[arg-type]
+        for i in range(n):
             self.nodes[i].processor = Processor(i, self)
         # Inside a telemetry session (repro.obs.telemetry), stream
         # run.progress heartbeats from this machine; None otherwise.
@@ -215,17 +196,9 @@ class Machine:
         return home.memory.read_word(block, offset)
 
     def write_word(self, addr: int, value: int) -> None:
-        """Initialize a word in memory (before any caching).
-
-        On a regioned machine, writes homed outside the region are
-        no-ops: every shard runs the same setup code, and the shard
-        owning the home performs the actual write.
-        """
+        """Initialize a word in memory (before any caching)."""
         block = self.block_of(addr)
-        home_node = self.home_of(block)
-        if self.region is not None and home_node not in self.region:
-            return
-        home = self.nodes[home_node]
+        home = self.nodes[self.home_of(block)]
         entry = home.home.directory.entry(block)
         if entry.state is not DirState.UNCACHED:
             raise AddressError(
@@ -244,13 +217,7 @@ class Machine:
         return Proc(pid, self.n_nodes, processor.rng)
 
     def spawn(self, pid: int, program_fn: Callable[..., Any], *args: Any) -> None:
-        """Start ``program_fn(proc, *args)`` on processor ``pid``.
-
-        On a regioned machine, spawns for out-of-region pids are no-ops
-        so the same workload code runs unchanged on every shard.
-        """
-        if self.region is not None and pid not in self.region:
-            return
+        """Start ``program_fn(proc, *args)`` on processor ``pid``."""
         proc = self.proc_handle(pid)
         self._running_programs += 1
         self.nodes[pid].processor.run_program(program_fn(proc, *args))
@@ -281,8 +248,7 @@ class Machine:
             blocked = [
                 node.processor.process.name
                 for node in self.nodes
-                if node is not None
-                and node.processor.process is not None
+                if node.processor.process is not None
                 and not node.processor.process.done
             ]
             raise DeadlockError(
@@ -298,7 +264,6 @@ class Machine:
         return self.sim.now
 
 
-def build_machine(config: SimConfig | None = None,
-                  region: Optional[Iterable[int]] = None) -> Machine:
+def build_machine(config: SimConfig | None = None) -> Machine:
     """Construct a fully wired machine from ``config`` (or the default)."""
-    return Machine(config or SimConfig(), region=region)
+    return Machine(config or SimConfig())

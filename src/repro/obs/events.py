@@ -30,16 +30,9 @@ kind                        meaning
 ``run.progress``            a telemetry heartbeat: host throughput,
                             queue depth, RSS, GC counts (see
                             :mod:`repro.obs.telemetry`)
-``shard.progress``          one conservative window completed in a
-                            sharded run: global time bound, per-shard
-                            event counts and events/s (see
-                            :func:`repro.harness.shardrun.run_shard`)
 ``fault.inject``            one injected fault fired (site, node, and
                             site-specific fields; see
                             :mod:`repro.faults.plan`)
-``shard.retry``             a sharded run's worker crashed or hung and
-                            the whole (deterministic) run is being
-                            retried (attempt number, reason)
 ==========================  ===========================================
 
 The ``sweep.*`` kinds are emitted by
@@ -47,10 +40,7 @@ The ``sweep.*`` kinds are emitted by
 machine's); their ``ts`` is the completion ordinal, not a cycle.
 ``run.progress`` is emitted by :class:`repro.obs.telemetry.Heartbeat`
 every N *executed events* — deterministic cadence, host-dependent
-measurements.  ``shard.progress`` is emitted by the shard coordinator
-on a caller-supplied bus once per window — again a deterministic
-cadence (and deterministic ``bound``/``events``) with host-dependent
-events/s.  These two are the kinds whose data fields are not
+measurements; it is the one kind whose data fields are not
 reproducible across hosts.
 
 Observability must not perturb the simulation: emission never schedules
@@ -86,9 +76,7 @@ EVENT_KINDS = (
     "sweep.point",
     "sweep.done",
     "run.progress",
-    "shard.progress",
     "fault.inject",
-    "shard.retry",
 )
 
 

@@ -19,7 +19,6 @@ any run without knowing which experiment produced it:
       "hotspots": { ... optional per-block contention ranking ... },
       "perf": {"wall_seconds": 0.18, "events_per_second": 1200000.0},
       "profile": { ... optional host-time attribution ... },
-      "shard": { ... optional sharded-run sync metrics ... },
       "faults": { ... optional chaos-verification verdicts ... }
     }
 
@@ -29,14 +28,10 @@ any run without knowing which experiment produced it:
 ``hotspots`` a :meth:`~repro.obs.hotspot.HotspotTracker.snapshot`, and
 ``profile`` a :meth:`~repro.obs.profile.ComponentProfiler.snapshot`
 (wall-clock attribution of the dispatch loop; host-dependent, so — like
-``perf`` — it never appears under ``results``), and ``shard`` the
-sharded-run sync-metrics section built by
-:func:`repro.harness.shardrun.run_shard` (window counts, lookahead
-utilization, per-shard busy/blocked wall, traffic matrix — also
-host-dependent).  ``faults`` is the chaos-verification section built by
-:func:`repro.faults.chaos.run_chaos` (fault plan, matrix shape, and one
-verdict per point — fully deterministic, so chaos envelopes are
-byte-reproducible).
+``perf`` — it never appears under ``results``).  ``faults`` is the
+chaos-verification section built by :func:`repro.faults.chaos.run_chaos`
+(fault plan, matrix shape, and one verdict per point — fully
+deterministic, so chaos envelopes are byte-reproducible).
 The envelope is validated (no external dependency) by
 :func:`validate_run_payload`; bump :data:`SCHEMA` if the envelope ever
 changes shape (adding optional keys is backward-compatible).
@@ -63,7 +58,7 @@ __all__ = [
 SCHEMA = "repro.run/1"
 
 _OPTIONAL_SECTIONS = ("metrics", "latency", "critpath", "hotspots", "perf",
-                      "profile", "shard", "faults")
+                      "profile", "faults")
 
 
 def make_run_payload(
@@ -76,7 +71,6 @@ def make_run_payload(
     hotspots: Mapping[str, Any] | None = None,
     perf: Mapping[str, Any] | None = None,
     profile: Mapping[str, Any] | None = None,
-    shard: Mapping[str, Any] | None = None,
     faults: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble one schema-stable run document.
@@ -99,7 +93,7 @@ def make_run_payload(
     for key, value in (("metrics", metrics), ("latency", latency),
                        ("critpath", critpath), ("hotspots", hotspots),
                        ("perf", perf), ("profile", profile),
-                       ("shard", shard), ("faults", faults)):
+                       ("faults", faults)):
         if value is not None:
             payload[key] = dict(value)
     return payload
@@ -196,10 +190,6 @@ def run_payload_to_jsonl(payload: Mapping[str, Any]) -> str:
     profile = document.get("profile")
     if profile is not None:
         lines.append(json.dumps({"record": "profile", **profile},
-                                sort_keys=True))
-    shard = document.get("shard")
-    if shard is not None:
-        lines.append(json.dumps({"record": "shard", **shard},
                                 sort_keys=True))
     faults = document.get("faults")
     if faults is not None:

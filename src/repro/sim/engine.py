@@ -22,16 +22,6 @@ same cycle replay in exact insertion order even when they straddle the
 two levels.  The engine knows nothing about multiprocessors; the machine
 model in :mod:`repro.machine` is built entirely out of scheduled
 callbacks.
-
-A second event class exists for the sharded runner
-(:mod:`repro.harness.shardrun`): :meth:`Simulator.schedule_priority`
-entries carry *negative* sequence numbers, so at any given timestamp
-they execute before every ordinary event, regardless of when either was
-scheduled.  Ordinary insertion order depends on execution history, which
-differs between a whole-machine run and a per-region run; priority
-events are the hook the sharded mesh uses to arbitrate boundary-crossing
-arrivals in an order that does not.  The default path never calls it and
-is unaffected.
 """
 
 from __future__ import annotations
@@ -46,11 +36,6 @@ from ..obs.profile import active_profiler
 from ..obs.registry import MetricsRegistry
 
 __all__ = ["Simulator"]
-
-# Bucket entries are (time, seq, fn, args); within one bucket all times
-# are equal, so ordering by seq alone is a total order.
-def _entry_seq(entry: tuple) -> int:
-    return entry[1]
 
 
 class Simulator:
@@ -74,10 +59,6 @@ class Simulator:
         # No bucket entry has a timestamp earlier than _cursor.
         self._cursor: int = 0
         self._seq: int = 0
-        # Priority events count down from -1 so every priority entry
-        # sorts before every ordinary entry at the same timestamp.
-        self._pseq: int = -1
-        self._running: bool = False
         self.registry = registry if registry is not None else MetricsRegistry()
         self._events_processed = self.registry.counter("sim.events_processed")
         # Host-observability hooks.  When either is attached, run()
@@ -134,64 +115,6 @@ class Simulator:
         else:
             heapq.heappush(self._queue, (time, seq, fn, args))
 
-    def schedule_priority(
-        self, delay: int, fn: Callable[..., None], *args: Any
-    ) -> None:
-        """Run ``fn(*args)`` ``delay`` cycles from now, before every
-        ordinary event of that cycle.
-
-        Priority entries carry negative, decreasing sequence numbers:
-        at one timestamp they all sort before ordinary entries, and
-        *among themselves* run in reverse scheduling order — callers
-        must only use this for handlers that commute with each other
-        (the sharded mesh's arrival/delivery drains do; they impose
-        their own canonical order via per-node buffers).
-
-        While the simulator is running, ``delay`` must be at least 1:
-        a same-cycle priority event would have to cut into the bucket
-        currently being drained, which the fast loop does not support.
-        """
-        if delay < 1 and (self._running or delay < 0):
-            raise SimulationError(
-                f"priority events must be strictly future (delay={delay}, "
-                f"running={self._running})"
-            )
-        seq = self._pseq
-        self._pseq = seq - 1
-        time = self._now + delay
-        if delay < 256:
-            bucket = self._buckets[time & 255]
-            bucket.append((time, seq, fn, args))
-            if len(bucket) > 1:
-                # Keep priority-before-ordinary within the bucket (the
-                # drain executes in list order).  Entries share one
-                # timestamp and have unique seqs, so the tuple sort
-                # never reaches the callables.
-                bucket.sort(key=_entry_seq)
-            self._near += 1
-        else:
-            heapq.heappush(self._queue, (time, seq, fn, args))
-
-    def next_event_time(self) -> Optional[int]:
-        """Timestamp of the earliest pending event, or ``None`` if idle.
-
-        A between-runs probe for the conservative-window shard runner
-        (it bounds how far every region may safely advance); O(window)
-        per call, never used on the per-event path.
-        """
-        best: Optional[int] = None
-        if self._near:
-            for bucket in self._buckets:
-                if bucket:
-                    time = bucket[0][0]
-                    if best is None or time < best:
-                        best = time
-        if self._queue:
-            h_time = self._queue[0][0]
-            if best is None or h_time < best:
-                best = h_time
-        return best
-
     def set_heartbeat(
         self, every: int, fire: Callable[[int, int, int], None]
     ) -> None:
@@ -234,7 +157,6 @@ class Simulator:
         """
         if self._profiler is not None or self._hb_fire is not None:
             return self._run_observed(until, max_events)
-        self._running = True
         executed = 0
         # Hot-loop locals: every per-event attribute lookup hoisted once.
         heap = self._queue
@@ -354,7 +276,6 @@ class Simulator:
                         now = until
                     break
         finally:
-            self._running = False
             self._now = now
             # Events scheduled between runs may land behind any scan
             # progress past `now`, so the cursor resumes from `now`
@@ -380,7 +301,6 @@ class Simulator:
         the fast loop's bucket drains; that cost exists only while a
         profiler or heartbeat is attached.
         """
-        self._running = True
         executed = 0
         heap = self._queue
         buckets = self._buckets
@@ -453,7 +373,6 @@ class Simulator:
                         hb_fire(now, base_events + executed,
                                 self._near + len(heap))
         finally:
-            self._running = False
             self._now = now
             self._cursor = now
             self._hb_countdown = hb_left

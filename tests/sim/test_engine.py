@@ -149,80 +149,3 @@ def test_far_event_scheduling_near_work_behind_the_scan():
     sim.run(max_events=100)
     assert order == ["far", "near-behind", "near-ahead"]
     assert sim.now == 305
-
-
-# ----------------------------------------------------------------------
-# Priority events (used by the sharded mesh's arrival drains).
-# ----------------------------------------------------------------------
-
-def test_priority_runs_before_ordinary_at_same_timestamp():
-    sim = Simulator()
-    order = []
-    sim.schedule(5, lambda: order.append("ordinary-1"))
-    sim.schedule_priority(5, lambda: order.append("priority"))
-    sim.schedule(5, lambda: order.append("ordinary-2"))
-    sim.run()
-    assert order == ["priority", "ordinary-1", "ordinary-2"]
-
-
-def test_priority_before_ordinary_for_far_events():
-    # Far events (delay >= 256) go through the heap, not the calendar
-    # buckets; the negative seq must still sort them first.
-    sim = Simulator()
-    order = []
-    sim.schedule(1000, lambda: order.append("ordinary"))
-    sim.schedule_priority(1000, lambda: order.append("priority"))
-    sim.run()
-    assert order == ["priority", "ordinary"]
-
-
-def test_priority_events_preserve_timestamp_order():
-    sim = Simulator()
-    order = []
-    sim.schedule_priority(7, lambda: order.append(7))
-    sim.schedule_priority(3, lambda: order.append(3))
-    sim.schedule(5, lambda: order.append(5))
-    sim.run()
-    assert order == [3, 5, 7]
-
-
-def test_same_cycle_priority_rejected_while_running():
-    sim = Simulator()
-
-    def handler():
-        with pytest.raises(SimulationError, match="strictly future"):
-            sim.schedule_priority(0, lambda: None)
-
-    sim.schedule(1, handler)
-    sim.run()
-
-
-def test_priority_negative_delay_rejected():
-    sim = Simulator()
-    with pytest.raises(SimulationError, match="strictly future"):
-        sim.schedule_priority(-1, lambda: None)
-
-
-def test_zero_delay_priority_allowed_before_run():
-    # Outside the event loop the current bucket is not being drained,
-    # so a same-cycle priority event is safe (shard workers inject
-    # boundary messages between windows this way).
-    sim = Simulator()
-    order = []
-    sim.schedule(0, lambda: order.append("ordinary"))
-    sim.schedule_priority(0, lambda: order.append("priority"))
-    sim.run()
-    assert order == ["priority", "ordinary"]
-
-
-def test_next_event_time_probe():
-    sim = Simulator()
-    assert sim.next_event_time() is None
-    sim.schedule(300, lambda: None)  # far (heap)
-    assert sim.next_event_time() == 300
-    sim.schedule(4, lambda: None)  # near (bucket)
-    assert sim.next_event_time() == 4
-    sim.run(until=10)
-    assert sim.next_event_time() == 300
-    sim.run()
-    assert sim.next_event_time() is None

@@ -15,12 +15,12 @@ spec.loader.exec_module(diff)
 def envelope(**overrides):
     doc = {
         "schema": "repro.run/1",
-        "experiment": "shard",
+        "experiment": "demo",
         "version": "1.0.0",
-        "params": {"nodes": 64, "turns": 8, "shards": 1},
+        "params": {"nodes": 64, "turns": 8},
         "results": {"counters": [7, 7], "match": True, "end_time": 5633},
         "metrics": {"net.messages": 1006},
-        "perf": {"wall_seconds": 0.41, "windows": 2023},
+        "perf": {"wall_seconds": 0.41},
     }
     doc.update(overrides)
     return doc
@@ -47,12 +47,11 @@ def test_host_time_sections_are_always_stripped(tmp_path):
     c = envelope()
     c.pop("perf")
     c["profile"] = {"total_ns": 123}
-    c["shard"] = {"sync": {"wall_seconds": 9.0, "windows": 2023}}
     assert diff.main(write_all(tmp_path, a, b, c)) == 0
 
 
 def test_stitched_critpath_is_not_stripped(tmp_path, capsys):
-    """The cross-shard blame gate: critpath differences must fail."""
+    """Critical-path blame is simulation output: differences must fail."""
     a = envelope(critpath={"txns": 8, "cycles": 640})
     b = envelope(critpath={"txns": 8, "cycles": 641})
     assert diff.main(write_all(tmp_path, a, b)) == 1
@@ -72,10 +71,10 @@ def test_simulation_divergence_fails_with_leaf_report(tmp_path, capsys):
 def test_ignore_strips_dotted_paths(tmp_path):
     a = envelope()
     b = envelope()
-    b["params"]["shards"] = 4
+    b["params"]["directory"] = "limited:64"
     paths = write_all(tmp_path, a, b)
     assert diff.main(paths) == 1
-    assert diff.main(["--ignore", "params.shards", *paths]) == 0
+    assert diff.main(["--ignore", "params.directory", *paths]) == 0
 
 
 def test_ignore_tolerates_absent_paths(tmp_path):

@@ -2,15 +2,15 @@
 """Byte-compare ``repro.run/1`` envelopes, minus host-dependent fields.
 
 The CI determinism jobs re-run one experiment under different execution
-shapes — ``--shards 1/2/4``, ``--jobs 1/2`` — and demand bit-identical
-simulation output.  Host-time sections (``perf``, ``profile``,
-``shard``) and the run-shape parameters themselves (``params.shards``)
-legitimately differ, so this tool strips them, canonicalizes what is
-left
+shapes — ``--jobs 1/2``, or directory representations that must be
+protocol-equivalent — and demand bit-identical simulation output.
+Host-time sections (``perf``, ``profile``) and parameters that only
+label the run shape (``params.directory``) legitimately differ, so this
+tool strips them, canonicalizes what is left
 (``json.dumps(sort_keys=True)``), and compares byte-for-byte::
 
-    python tools/diff_envelopes.py --ignore params.shards \\
-        shard1.json shard2.json shard4.json
+    python tools/diff_envelopes.py --ignore params.directory \\
+        full.json limited.json coarse.json
 
 The first file is the reference; every other file must match it exactly.
 Any divergence prints the differing leaves and exits 1.  Stdlib only, so
@@ -27,10 +27,8 @@ from typing import Any, Iterator, List
 
 #: Sections that describe the host/run, not the simulation.  Always
 #: stripped; the determinism guarantee is about simulation output.
-#: (``shard`` holds wall times and traffic shape; the shard-invariant
-#: stitched critical path lands in the top-level ``critpath`` section,
-#: which is *not* stripped — that is the cross-shard blame gate.)
-HOST_SECTIONS = ("perf", "profile", "shard")
+#: (The ``critpath`` section is simulation output and is *not* stripped.)
+HOST_SECTIONS = ("perf", "profile")
 
 
 def load(path: pathlib.Path) -> dict:
@@ -92,7 +90,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--ignore", action="append", default=[],
                         metavar="DOTTED.PATH",
                         help="also strip this field before comparing "
-                             "(repeatable; e.g. params.shards)")
+                             "(repeatable; e.g. params.directory)")
     args = parser.parse_args(argv)
     if len(args.files) < 2:
         parser.error("need a reference and at least one candidate")
