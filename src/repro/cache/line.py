@@ -21,6 +21,9 @@ class LineState(enum.Enum):
     SHARED = "shared"
     EXCLUSIVE = "exclusive"
 
+    # Identity hash, as for MessageType (a C slot on hot-path probes).
+    __hash__ = object.__hash__
+
 
 @dataclass
 class CacheLine:

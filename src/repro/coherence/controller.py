@@ -215,7 +215,10 @@ class CacheController:
         # Spurious reservation loss (paper §2.1: context switches / TLB
         # exceptions reset the LLbit on real processors).
         self._spurious_rate = config.spurious_sc_rate
-        self._spurious_rng = random.Random((config.seed << 8) ^ node)
+        self._spurious_rng = (
+            random.Random((config.seed << 8) ^ node)
+            if self._spurious_rate else None
+        )
         # Hot-path caches (cProfile-guided): timing constants off the
         # frozen config, raw registry counters behind the stats shims,
         # and bound address-service methods, all resolved once.
@@ -552,9 +555,12 @@ class CacheController:
         mtype: MessageType,
         **payload: Any,
     ) -> None:
+        # Latency accounting is an instrument: only a transaction that
+        # starts while the bus is active carries a breakdown.
         txn = Transaction(op=op, block=block, callback=callback, kind=txn_kind,
                           request_mtype=mtype, request_payload=payload,
-                          breakdown=TxnBreakdown(self.sim.now))
+                          breakdown=(TxnBreakdown(self.sim.now)
+                                     if self.events.active else None))
         self.mshr.begin(txn)
         self._issue(txn)
 
@@ -777,17 +783,19 @@ class CacheController:
         # Serve remote requests that arrived while we were in flight.
         for deferred in self.mshr.take_deferred(txn.block):
             self._on_recall(deferred)
-        done = self.sim.now + self.config.timing.controller_occupancy
-        policy = self.machine.policy_of(txn.block)
-        if txn.breakdown is not None:
-            txn.breakdown.credit("controller", done)
+        done = self.sim.now + self._t_occ
+        breakdown = txn.breakdown
+        if breakdown is not None:
+            breakdown.credit("controller", done)
             self.machine.stats.note_txn_latency(
-                txn.kind, policy.value, txn.breakdown
+                txn.kind, self._policy_of(txn.block).value, breakdown
             )
-        self._emit("atomic.complete", done, block=txn.block, op=txn.kind,
-                   chain=txn.chain, local=False, policy=policy.value)
-        self.sim.schedule(self.config.timing.controller_occupancy,
-                          txn.callback, result)
+        if self.events.active:
+            self.events.emit(
+                "atomic.complete", done, node=self.node, block=txn.block,
+                op=txn.kind, chain=txn.chain, local=False,
+                policy=self._policy_of(txn.block).value)
+        self.sim.schedule(self._t_occ, txn.callback, result)
 
     def _apply_completion(self, txn: Transaction, reply: Message) -> Any:
         kind = txn.kind

@@ -125,17 +125,13 @@ class HomeNode:
             return
         if msg.mtype is MessageType.DROP:
             self._service(self._process, msg, service_time=self._t_directory,
-                          txn=msg.txn, block=msg.block, mtype="DROP",
-                          requester=msg.requester)
+                          request=msg)
         else:
-            self._service(self._process, msg, txn=msg.txn,
-                          block=msg.block, mtype=msg.mtype.value,
-                          requester=msg.requester)
+            self._service(self._process, msg, request=msg)
 
     def _replay_nak(self, msg: Message) -> None:
         """Re-queue a busy-NAK'd request at the memory module."""
-        self._service(self._process, msg, txn=msg.txn, block=msg.block,
-                      mtype=msg.mtype.value, requester=msg.requester)
+        self._service(self._process, msg, request=msg)
 
     def _account_fanout(self, entry: Any, others: list, requester: int) -> None:
         """Count fan-out beyond the exact sharers (imprecise directories).
@@ -254,9 +250,7 @@ class HomeNode:
                     bus.emit("dir.queue.leave", self.machine.sim.now,
                              node=self.node, block=msg.block,
                              mtype=msg.mtype.value, requester=msg.requester)
-                self.memory.service(self._process, msg, txn=msg.txn,
-                                    block=msg.block, mtype=msg.mtype.value,
-                                    requester=msg.requester)
+                self._service(self._process, msg, request=msg)
 
     def _note(self, msg: Message, is_write: bool) -> None:
         """Record a memory-side access for sharing-pattern statistics."""

@@ -30,6 +30,9 @@ class SyncPolicy(enum.Enum):
     UPD = "UPD"
     UNC = "UNC"
 
+    # Identity hash, as for MessageType (a C slot on hot-path probes).
+    __hash__ = object.__hash__
+
     @property
     def cached(self) -> bool:
         """True if the policy allows the block in caches at all."""

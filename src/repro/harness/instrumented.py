@@ -85,6 +85,12 @@ class InstrumentedRun:
         return CritPathAggregator.from_graphs(self.spans.completed,
                                               worst=worst)
 
+    def metrics(self) -> dict[str, Any]:
+        """The machine registry plus the latency instrument's histograms."""
+        merged = {**self.machine.registry.snapshot(),
+                  **self.machine.stats.latency.histograms.snapshot()}
+        return dict(sorted(merged.items()))
+
     def payload(self, params: Optional[dict[str, Any]] = None,
                 top_hotspots: int = 10,
                 profile: Optional[dict[str, Any]] = None) -> dict[str, Any]:
@@ -105,7 +111,7 @@ class InstrumentedRun:
                 "events_recorded": len(self.recorder),
                 "transactions": len(self.spans.completed),
             },
-            metrics=self.machine.registry.snapshot(),
+            metrics=self.metrics(),
             latency=self.machine.stats.latency.snapshot(),
             critpath=self.critpath().snapshot(),
             hotspots=self.hotspots.snapshot(top_n=top_hotspots),

@@ -80,13 +80,17 @@ class Machine:
             )
         else:
             self.faults = None
+        self.stats = MachineStats()
+        self.stats.attach_registry(self.registry)
+        # The latency instrument (machine.stats.latency) is fed only
+        # while the event bus has a subscriber; see repro.obs.latency.
+        latency = self.stats.latency
         self.mesh = WormholeMesh(
-            self.sim, config, registry=self.registry, events=self.events
+            self.sim, config, registry=self.registry, events=self.events,
+            latency=latency,
         )
         self.mesh.faults = self.faults
         self.address = AddressSpace(config.machine)
-        self.stats = MachineStats()
-        self.stats.attach_registry(self.registry)
         self.barriers = BarrierManager(self.sim)
         self._policies: dict[int, SyncPolicy] = {}
         self.nodes: list[Node] = []
@@ -95,7 +99,7 @@ class Machine:
         n = config.machine.n_nodes
         for i in range(n):
             memory = MemoryModule(self.sim, i, config, registry=self.registry,
-                                  events=self.events)
+                                  events=self.events, latency=latency)
             directory = Directory(
                 i,
                 n_nodes=n,
@@ -214,7 +218,7 @@ class Machine:
     def proc_handle(self, pid: int) -> Proc:
         """The program-facing API object for processor ``pid``."""
         processor = self.nodes[pid].processor
-        return Proc(pid, self.n_nodes, processor.rng)
+        return Proc(pid, self.n_nodes, lambda: processor.rng)
 
     def spawn(self, pid: int, program_fn: Callable[..., Any], *args: Any) -> None:
         """Start ``program_fn(proc, *args)`` on processor ``pid``."""

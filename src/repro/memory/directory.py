@@ -34,6 +34,9 @@ class DirState(enum.Enum):
     SHARED = "shared"
     EXCLUSIVE = "exclusive"
 
+    # Identity hash, as for MessageType (a C slot on hot-path probes).
+    __hash__ = object.__hash__
+
 
 @dataclass
 class DirectoryEntry:

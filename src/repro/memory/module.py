@@ -16,6 +16,7 @@ from typing import Any, Callable, Optional
 
 from ..config import SimConfig
 from ..obs.events import EventBus
+from ..obs.latency import LatencyTracker
 from ..obs.registry import MetricsRegistry
 from ..sim.engine import Simulator
 
@@ -26,8 +27,9 @@ class MemoryStats:
     """Counters for one memory module (registry-backed, ``mem.<node>.*``).
 
     ``accesses`` and ``total_queue_wait`` remain readable/writable via
-    the historical attributes; the registry additionally keeps a
-    log-bucketed ``queue_wait_hist`` of per-request waits.
+    the historical attributes.  The distribution of per-request waits
+    (``queue_wait_hist``) is kept by the machine's
+    :class:`~repro.obs.latency.LatencyTracker`, while the bus is active.
     """
 
     def __init__(
@@ -38,7 +40,6 @@ class MemoryStats:
         reg = registry if registry is not None else MetricsRegistry()
         self._accesses = reg.counter(f"{prefix}.accesses")
         self._total_queue_wait = reg.counter(f"{prefix}.queue_wait")
-        self.queue_wait_hist = reg.histogram(f"{prefix}.queue_wait_hist")
 
     @property
     def accesses(self) -> int:
@@ -74,11 +75,13 @@ class MemoryModule:
         config: SimConfig,
         registry: Optional[MetricsRegistry] = None,
         events: Optional[EventBus] = None,
+        latency: Optional[LatencyTracker] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.config = config
         self.events = events
+        self.latency = latency if latency is not None else LatencyTracker()
         self.words_per_block = config.machine.words_per_block
         self._blocks: dict[int, list[int]] = {}
         self._next_free = 0
@@ -87,7 +90,6 @@ class MemoryModule:
         # frozen service time, resolved once.
         self._c_accesses = self.stats._accesses
         self._c_queue_wait = self.stats._total_queue_wait
-        self._observe_wait = self.stats.queue_wait_hist.observe
         self._t_service = config.timing.memory_service
 
     # ------------------------------------------------------------------
@@ -131,20 +133,17 @@ class MemoryModule:
         fn: Callable[..., None],
         *args: Any,
         service_time: int | None = None,
-        txn: Any = None,
-        block: int | None = None,
-        mtype: str | None = None,
-        requester: int | None = None,
+        request: Any = None,
     ) -> None:
         """Enqueue a request; run ``fn(*args)`` when service completes.
 
         Models the FIFO memory queue: the request waits until the module is
         free, then occupies it for ``memory_service`` cycles (or
-        ``service_time``, for directory-only work).  When the request
-        belongs to a requester transaction, pass it as ``txn`` so the
-        queue wait and service occupancy are attributed in its latency
-        breakdown.  ``block``/``mtype``/``requester`` only describe the
-        request on the ``mem.service`` event stream (when anyone listens).
+        ``service_time``, for directory-only work).  ``request`` is the
+        protocol message being serviced, if any: its transaction's
+        latency breakdown (when it carries one) is credited with the
+        queue wait and service occupancy, and while the bus is active it
+        describes the request on the ``mem.service`` event stream.
         """
         sim = self.sim
         now = sim._now
@@ -157,17 +156,20 @@ class MemoryModule:
         self._c_accesses.value += 1
         wait = start - now
         self._c_queue_wait.value += wait
-        self._observe_wait(wait)
-        if txn is not None:
-            breakdown = getattr(txn, "breakdown", None)
-            if breakdown is not None:
-                breakdown.credit("queue", start)
-                breakdown.credit("memory", end)
+        txn = request.txn if request is not None else None
+        if txn is not None and txn.breakdown is not None:
+            txn.breakdown.credit("queue", start)
+            txn.breakdown.credit("memory", end)
         events = self.events
         if events is not None and events.active:
+            self.latency.queue_wait(self.node).observe(wait)
+            described = request is not None
             events.emit(
                 "mem.service", end, node=self.node,
-                arrival=now, start=start, block=block, mtype=mtype,
-                requester=requester, has_txn=txn is not None,
+                arrival=now, start=start,
+                block=request.block if described else None,
+                mtype=request.mtype.value if described else None,
+                requester=request.requester if described else None,
+                has_txn=txn is not None,
             )
         sim.schedule(end - now, fn, *args)

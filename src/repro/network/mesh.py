@@ -19,7 +19,9 @@ Delivery invokes a handler registered per (node, unit).
 Observability: every delivered message increments the ``net.*`` counters
 in the machine's :class:`~repro.obs.registry.MetricsRegistry`, and —
 when anyone is listening — emits ``msg.send``/``msg.deliver`` events on
-the machine's :class:`~repro.obs.events.EventBus`.  The legacy
+the machine's :class:`~repro.obs.events.EventBus` and records its
+latency in the ``net.latency`` histogram of the machine's
+:class:`~repro.obs.latency.LatencyTracker`.  The legacy
 single-slot ``observer`` attribute is kept for backward compatibility;
 new code should subscribe to the bus instead (see
 :class:`repro.debug.trace.ProtocolTracer`).
@@ -32,6 +34,7 @@ from typing import Any, Callable, Optional
 from ..config import SimConfig
 from ..errors import SimulationError
 from ..obs.events import EventBus
+from ..obs.latency import LatencyTracker
 from ..obs.registry import MetricsRegistry
 from ..sim.engine import Simulator
 from .message import Message, MessageType, Unit
@@ -57,7 +60,6 @@ class NetworkStats:
         self._local_messages = reg.counter("net.local_messages")
         self._flits = reg.counter("net.flits")
         self._total_latency = reg.counter("net.total_latency")
-        self._latency_hist = reg.histogram("net.latency")
         self._by_type: dict[str, object] = {}
 
     # -- property shims over the registry ------------------------------
@@ -112,17 +114,6 @@ class NetworkStats:
             )
         return counter
 
-    def record(self, msg: Message, flits: int, latency: int, local: bool) -> None:
-        """Account one delivered message."""
-        if local:
-            self._local_messages.inc()
-        else:
-            self._messages.inc()
-            self._flits.inc(flits)
-            self._total_latency.inc(latency)
-            self._latency_hist.observe(latency)
-        self.type_counter(msg.mtype.value).inc()  # type: ignore[union-attr]
-
     @property
     def mean_latency(self) -> float:
         """Mean network latency of non-local messages."""
@@ -139,6 +130,7 @@ class WormholeMesh:
         config: SimConfig,
         registry: Optional[MetricsRegistry] = None,
         events: Optional[EventBus] = None,
+        latency: Optional[LatencyTracker] = None,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -156,6 +148,7 @@ class WormholeMesh:
         self._exit_free = [0] * machine.n_nodes
         self.stats = NetworkStats(registry)
         self.events = events if events is not None else EventBus()
+        self.latency = latency if latency is not None else LatencyTracker()
         # Legacy single-slot observer(msg, send_time, deliver_time) hook.
         self.observer: Callable[[Message, int, int], None] | None = None
         # Fault-injection plane; the machine installs its injector here.
@@ -179,7 +172,6 @@ class WormholeMesh:
         self._c_local = stats._local_messages
         self._c_flits = stats._flits
         self._c_latency = stats._total_latency
-        self._latency_hist = stats._latency_hist
         self._type_counters: dict[MessageType, Any] = {}
 
     def register(self, node: int, unit: Unit, handler: Handler) -> None:
@@ -192,11 +184,14 @@ class WormholeMesh:
         return self._flits_by_type[msg.mtype]
 
     def _observe(self, msg: Message, sent: int, delivered: int) -> None:
-        """Feed the legacy observer and the event bus (no sim effects)."""
+        """Feed the legacy observer, the event bus and the latency
+        histogram (no sim effects)."""
         if self.observer is not None:
             self.observer(msg, sent, delivered)
         bus = self.events
         if bus.active:
+            if msg.src != msg.dst:
+                self.latency.network().observe(delivered - sent)
             fields = dict(
                 mtype=msg.mtype.value,
                 src=msg.src,
@@ -265,11 +260,9 @@ class WormholeMesh:
                 # FIFO, so no same-destination reorder is possible.
                 done += faults.net_delay(dst)
             exit_free[dst] = done
-            latency = done - now
             self._c_messages.value += 1
             self._c_flits.value += flits
-            self._c_latency.value += latency
-            self._latency_hist.observe(latency)
+            self._c_latency.value += done - now
         type_counter = self._type_counters.get(mtype)
         if type_counter is None:
             type_counter = self._type_counters[mtype] = (
@@ -278,10 +271,8 @@ class WormholeMesh:
         type_counter.value += 1
 
         txn = msg.txn
-        if txn is not None:
-            breakdown = getattr(txn, "breakdown", None)
-            if breakdown is not None:
-                breakdown.credit("network", done)
+        if txn is not None and txn.breakdown is not None:
+            txn.breakdown.credit("network", done)
         if self.observer is not None or self.events.active:
             self._observe(msg, now, done)
         sim.schedule(done - now, handler, msg)

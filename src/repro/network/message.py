@@ -34,6 +34,9 @@ class Unit(enum.Enum):
     CACHE = "cache"
     HOME = "home"
 
+    # Identity hash, as for MessageType (a C slot on hot-path probes).
+    __hash__ = object.__hash__
+
 
 class MessageType(enum.Enum):
     """Protocol message types.
@@ -77,6 +80,12 @@ class MessageType(enum.Enum):
     WB = "WB"  # writeback of a dirty exclusive line
     DROP = "DROP"  # notice that a shared copy was dropped/evicted
 
+    # Identity hash: a C slot instead of ``Enum.__hash__``'s Python-level
+    # ``hash(self._name_)``, for the dict and frozenset probes on the
+    # protocol hot path.  Members are singletons (pickling returns the
+    # same member), so every lookup is unchanged.
+    __hash__ = object.__hash__
+
     @property
     def carries_data(self) -> bool:
         """True for messages that carry a full cache block."""
@@ -106,8 +115,9 @@ class Message:
         dst: Receiving node id.
         unit: Which unit at ``dst`` handles the message.
         block: Block number the message concerns.
-        txn: Opaque transaction descriptor owned by the requester; carried
-            so acknowledgments can complete the right transaction.
+        txn: The requester's :class:`~repro.cache.mshr.Transaction`;
+            carried so acknowledgments can complete the right transaction,
+            and so the mesh and memory can credit its ``breakdown``.
         chain: Serialized-message count including this message.
         requester: Node id of the transaction's originator.
         payload: Message-specific fields (operation descriptors, data

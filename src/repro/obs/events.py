@@ -115,6 +115,8 @@ class EventBus:
         #: True when at least one subscriber is attached.  Emission
         #: sites guard on this so an unobserved machine pays only a
         #: plain attribute read — no :class:`Event` is ever constructed.
+        #: It also switches the latency instrument
+        #: (:mod:`repro.obs.latency`) on and off.
         #: Maintained by :meth:`subscribe`/:meth:`unsubscribe`; treat as
         #: read-only.
         self.active: bool = False

@@ -17,12 +17,26 @@ end-to-end latency — the invariant the test suite asserts.  Idle gaps
 not claimed by any component are folded into the next segment.
 
 :class:`LatencyTracker` aggregates finished breakdowns per
-``primitive × policy`` and reports p50/p95/max.
+``primitive × policy`` and reports p50/p95/max.  It also holds the
+per-message network latency (``net.latency``) and per-request memory
+queue wait (``mem.<node>.queue_wait_hist``) histograms.
+
+All of this is an instrument, paid for only when read: the machine
+feeds ``machine.stats.latency`` only while its
+:class:`~repro.obs.events.EventBus` has a subscriber — the switch the
+span builder, recorder and hotspot tracker already flip, and that the
+instrumented runs of ``repro stats`` / ``trace`` / ``critpath`` /
+``hotspots`` / ``profile`` turn on.  A transaction carries a
+:class:`TxnBreakdown` only if the bus was active when it started; the
+always-on ``net.total_latency`` and ``mem.<node>.queue_wait`` counters
+stay in the machine registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .registry import Histogram, MetricsRegistry
 
 __all__ = ["CATEGORIES", "TxnBreakdown", "LatencyStats", "LatencyTracker"]
 
@@ -108,10 +122,21 @@ class LatencyStats:
 
 
 class LatencyTracker:
-    """Breakdowns of every completed transaction, per primitive × policy."""
+    """Breakdowns of every completed transaction, per primitive × policy,
+    plus the network-latency and memory queue-wait histograms."""
 
     def __init__(self) -> None:
         self._keys: dict[tuple[str, str], LatencyStats] = {}
+        #: The instrument's histograms, created on first sample.
+        self.histograms = MetricsRegistry()
+
+    def network(self) -> Histogram:
+        """Latency of non-local messages (``net.latency``)."""
+        return self.histograms.histogram("net.latency")
+
+    def queue_wait(self, node: int) -> Histogram:
+        """Cycles requests waited at ``node``'s memory module."""
+        return self.histograms.histogram(f"mem.{node}.queue_wait_hist")
 
     def note(self, kind: str, policy: str, breakdown: TxnBreakdown) -> None:
         """Record one completed transaction."""
@@ -136,7 +161,7 @@ class LatencyTracker:
         }
 
     def render(self) -> str:
-        """A readable table of the breakdown (for ``repro stats``)."""
+        """A readable table of the breakdown and histograms (``repro stats``)."""
         lines = ["latency breakdown (cycles): primitive/policy  "
                  "n  mean  p50  p95  max  [network/queue/memory/controller]"]
         for (kind, policy), stats in sorted(self._keys.items()):
@@ -147,4 +172,6 @@ class LatencyTracker:
                 f"{stats.mean:8.1f} {pct['p50']:5d} {pct['p95']:5d} "
                 f"{pct['max']:5d}  [{cats}]"
             )
+        if len(self.histograms):
+            lines += ["", self.histograms.render()]
         return "\n".join(lines)

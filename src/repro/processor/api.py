@@ -18,7 +18,7 @@ Composite synchronization operations (locks, barriers, counters) in
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from ..primitives.ops import (
     CompareAndSwap,
@@ -42,10 +42,19 @@ __all__ = ["Proc"]
 class Proc:
     """Operation factory bound to one processor."""
 
-    def __init__(self, pid: int, nprocs: int, rng: random.Random) -> None:
+    def __init__(
+        self, pid: int, nprocs: int, rng: Callable[[], random.Random]
+    ) -> None:
+        """``rng`` returns the processor's RNG; it is called only when the
+        program draws, so a program that never draws seeds none."""
         self.pid = pid
         self.nprocs = nprocs
-        self.rng = rng
+        self._rng = rng
+
+    @property
+    def rng(self) -> random.Random:
+        """The processor's deterministic RNG (backoff delays)."""
+        return self._rng()
 
     # ------------------------------------------------------------------
     # Ordinary accesses.

@@ -12,7 +12,9 @@ are generators yielding operation objects (see
 * the contend hooks feed the contention tracker in zero simulated time.
 
 The processor also keeps the per-processor deterministic RNG used by
-backoff code, seeded from the machine seed and the pid.
+backoff code, seeded from the machine seed and the pid.  It is built on
+first draw (most programs never draw), which yields the same stream as
+seeding it up front.
 """
 
 from __future__ import annotations
@@ -36,11 +38,20 @@ class Processor:
         self.machine = machine
         self.sim = machine.sim
         self.controller = machine.nodes[pid].controller
-        self.rng = random.Random((machine.config.seed << 20) ^ pid)
+        self._rng: random.Random | None = None
         self.faults = getattr(machine, "faults", None)
         self.process: Process | None = None
         self.ops_issued = 0
         self.finish_time: int | None = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The processor's RNG, seeded on first use."""
+        if self._rng is None:
+            self._rng = random.Random(
+                (self.machine.config.seed << 20) ^ self.pid
+            )
+        return self._rng
 
     def run_program(self, generator) -> Process:
         """Attach and start a program generator."""

@@ -22,8 +22,9 @@ class MachineStats:
     flits) live on the components (registry-backed; see
     :mod:`repro.obs.registry`); this object holds the sharing-pattern
     statistics the paper's evaluation is built on, per-transaction
-    serialized-message accounting, and the per-transaction latency
-    breakdown tracker.
+    serialized-message accounting, and the latency instrument
+    (:class:`~repro.obs.latency.LatencyTracker`), which the machine
+    feeds only while its event bus has a subscriber.
 
     When attached to a registry (every :class:`~repro.machine.machine.
     Machine` does this), transaction counts and chain totals are also

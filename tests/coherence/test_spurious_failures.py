@@ -115,3 +115,25 @@ def test_cas_unaffected_by_spurious_rate():
     m.run()
     assert box["ok"] is True
     assert spurious_losses(m) == 0
+
+
+@pytest.mark.parametrize("policy, pinned", [
+    (SyncPolicy.INV, (2122, 33, 2025, 5852, 221)),
+    (SyncPolicy.UPD, (6005, 57, 16736, 26659, 958)),
+    (SyncPolicy.UNC, (5710, 52, 4867, 25501, 522)),
+], ids=lambda v: getattr(v, "value", ""))
+def test_spurious_runs_match_pinned_results(policy, pinned):
+    """The controller's loss RNG, built only when the rate is non-zero,
+    draws the same stream as one built unconditionally: end cycle,
+    losses and traffic are pinned from the simulator as it was when every
+    controller seeded its RNG at build time."""
+    m = machine(0.3)
+    addr = m.alloc_sync(policy, home=1)
+    m.spawn_all(llsc_counter(addr, 4))
+    end = m.run(max_events=20_000_000)
+    assert m.read_word(addr) == 32
+    snap = m.registry.snapshot()
+    waits = sum(value for key, value in snap.items()
+                if key.startswith("mem.") and key.endswith(".queue_wait"))
+    assert (end, spurious_losses(m), snap["net.total_latency"], waits,
+            snap["net.messages"]) == pinned

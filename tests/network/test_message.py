@@ -46,3 +46,45 @@ def test_carries_data_classification():
     assert not MessageType.INV.carries_data
     assert not MessageType.INV_ACK.carries_data
     assert not MessageType.OWNER_NAK.carries_data
+
+
+def _enum_classes():
+    from repro.cache.line import LineState
+    from repro.coherence.policy import SyncPolicy
+    from repro.memory.directory import DirState
+    from repro.primitives.semantics import PhiOp
+
+    return (MessageType, Unit, SyncPolicy, LineState, DirState, PhiOp)
+
+
+def _lookup_table_in_worker(_):
+    """Runs in a worker process: a dict keyed by every member."""
+    return {member: member.value
+            for cls in _enum_classes() for member in cls}
+
+
+def test_enum_members_hash_by_identity_and_survive_pickling():
+    import pickle
+
+    for cls in _enum_classes():
+        assert cls.__hash__ is object.__hash__, cls
+        table = {member: member.value for member in cls}
+        for member in cls:
+            clone = pickle.loads(pickle.dumps(member))
+            assert clone is member
+            assert table[clone] == member.value
+        restored = pickle.loads(pickle.dumps(table))
+        assert all(restored[member] == member.value for member in cls)
+
+
+def test_enum_keyed_dicts_cross_process_boundaries():
+    """The ``--jobs 2`` path: enum-keyed data built in a worker process
+    (whose identity hashes differ) is looked up with the parent's
+    members."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        table = pool.submit(_lookup_table_in_worker, None).result()
+    for cls in _enum_classes():
+        for member in cls:
+            assert table[member] == member.value

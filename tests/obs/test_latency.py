@@ -116,3 +116,105 @@ def test_breakdown_sums_for_store_chain():
     # The uncontended ownership transfer spends no time queued, but does
     # flow through the network, the memory module, and the controller.
     assert {"network", "memory", "controller"} <= set(stats.by_category)
+
+
+# ----------------------------------------------------------------------
+# The instrument switch: latency accounting runs only while the bus is
+# active.  (The registry is the same with the bus on or off:
+# tests/integration/test_fastpath_determinism.py.)
+# ----------------------------------------------------------------------
+
+def _contended_machine(policy, observe: bool):
+    m = make_machine(4)
+    if observe:
+        EventRecorder(m.events)
+    addr = m.alloc_sync(policy, home=1)
+
+    def bump(p, addr):
+        for _ in range(3):
+            yield p.fetch_add(addr, 1)
+
+    m.spawn_all(bump, addr)
+    m.run()
+    assert m.read_word(addr) == 12
+    return m
+
+
+def _always_on_counters(m):
+    snap = m.registry.snapshot()
+    waits = sum(value for key, value in snap.items()
+                if key.startswith("mem.") and key.endswith(".queue_wait"))
+    return snap["net.total_latency"], waits
+
+
+@pytest.mark.parametrize("policy", [SyncPolicy.INV, SyncPolicy.UPD,
+                                    SyncPolicy.UNC])
+def test_bare_machine_keeps_no_latency_accounting(policy, monkeypatch):
+    from repro.coherence import controller
+
+    built = []
+
+    class CountingBreakdown(TxnBreakdown):
+        def __init__(self, start):
+            built.append(start)
+            super().__init__(start)
+
+    monkeypatch.setattr(controller, "TxnBreakdown", CountingBreakdown)
+    m = _contended_machine(policy, observe=False)
+    assert built == []
+    assert m.stats.latency.keys() == []
+    assert len(m.stats.latency.histograms) == 0
+    names = m.registry.names()
+    assert "net.latency" not in names
+    assert not [n for n in names if n.endswith(".queue_wait_hist")]
+    assert all(node.controller._spurious_rng is None for node in m.nodes)
+
+
+@pytest.mark.parametrize("policy", [SyncPolicy.INV, SyncPolicy.UPD,
+                                    SyncPolicy.UNC])
+def test_instrument_histograms_agree_with_counters(policy):
+    m = _contended_machine(policy, observe=True)
+    snap = m.registry.snapshot()
+    hists = m.stats.latency.histograms.snapshot()
+    net = hists["net.latency"]
+    assert net["count"] == snap["net.messages"]
+    assert net["total"] == snap["net.total_latency"]
+    for node in range(m.n_nodes):
+        wait = hists.get(f"mem.{node}.queue_wait_hist",
+                         {"count": 0, "total": 0})
+        assert wait["count"] == snap[f"mem.{node}.accesses"]
+        assert wait["total"] == snap[f"mem.{node}.queue_wait"]
+    # Every remote transaction was broken down.
+    recorded = sum(stats.count for stats in
+                   (m.stats.latency.get(*key)
+                    for key in m.stats.latency.keys()))
+    assert recorded == sum(m.stats.transactions.values())
+
+
+def test_always_on_counters_pinned():
+    """``net.total_latency`` / ``mem.*.queue_wait`` of a TTS-lock counter
+    (backoff draws from the processor RNGs), pinned from the simulator as
+    it was when latency accounting was always on and every RNG was
+    seeded at build time."""
+    from repro import SimConfig
+    from repro.apps.synthetic import SyntheticSpec, run_tts_counter
+    from repro.config import MachineConfig
+    from repro.sync.variant import PrimitiveVariant
+
+    expected = {
+        SyncPolicy.INV: (43185, 21779, 133130, 1881),
+        SyncPolicy.UPD: (53101, 148709, 12270, 3523),
+        SyncPolicy.UNC: (43055, 18040, 90950, 1555),
+    }
+    for policy, pinned in expected.items():
+        machines = []
+        result = run_tts_counter(
+            PrimitiveVariant("fap", policy),
+            SyntheticSpec(contention=16, turns=3),
+            config=SimConfig(machine=MachineConfig(n_nodes=16), seed=7),
+            observe=machines.append,
+        )
+        m = machines[0]
+        got = (result.cycles, *_always_on_counters(m),
+               m.registry.snapshot()["net.messages"])
+        assert got == pinned, policy

@@ -19,7 +19,8 @@ from repro.processor.api import Proc
 
 
 def make_proc(pid=0, nprocs=4):
-    return Proc(pid, nprocs, random.Random(0))
+    rng = random.Random(0)
+    return Proc(pid, nprocs, lambda: rng)
 
 
 def test_cas_result_truthiness():

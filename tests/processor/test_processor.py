@@ -229,3 +229,36 @@ class TestContendHooks:
             return m.now - start
 
         assert run_one(m, 0, prog) == 0
+
+
+def test_rng_is_seeded_on_first_draw_with_the_eager_stream():
+    import random
+
+    m = make_machine(4, seed=11)
+    assert all(node.processor._rng is None for node in m.nodes)
+    for pid in range(4):
+        expected = random.Random((11 << 20) ^ pid)
+        rng = m.nodes[pid].processor.rng
+        assert [rng.randrange(1 << 30) for _ in range(5)] == [
+            expected.randrange(1 << 30) for _ in range(5)
+        ]
+    assert m.nodes[0].processor.rng is m.nodes[0].processor.rng
+
+
+def test_program_rng_is_the_processor_rng_across_programs():
+    import random
+
+    m = make_machine(2, seed=3)
+    draws = []
+
+    def prog(p):
+        draws.append(p.rng.random())
+        yield p.think(1)
+
+    m.spawn(1, prog)
+    m.run()
+    assert m.nodes[0].processor._rng is None     # never drew: never seeded
+    m.spawn(1, prog)                            # same processor, next program
+    m.run()
+    expected = random.Random((3 << 20) ^ 1)
+    assert draws == [expected.random(), expected.random()]
