@@ -182,7 +182,9 @@ class LimitedPointerSet(SharerSet):
     def targets(self, exclude: int) -> list[int]:
         if not self._overflow:
             return super().targets(exclude)
-        return [n for n in range(self.n_nodes) if n != exclude]
+        out = list(range(self.n_nodes))
+        del out[exclude]
+        return out
 
     def _note_add(self, node: int) -> None:
         if not self._overflow and self.mask.bit_count() > self.pointers:

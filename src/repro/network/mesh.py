@@ -157,7 +157,8 @@ class WormholeMesh:
         # Hot-path caches: flit sizes per message type, timing constants,
         # the topology's distance rows, and the raw registry counters
         # (bypassing the NetworkStats property shims).  All are pure
-        # derivations of frozen config / construction-time state.
+        # derivations of frozen config / construction-time state; a
+        # node's distance row is built on its first remote send.
         data_flits = machine.data_flits(timing)
         self._flits_by_type = {
             mtype: data_flits if mtype.carries_data else timing.header_flits
@@ -245,7 +246,10 @@ class WormholeMesh:
                 inject = now
             entry_free[src] = inject + serialize
             # Wormhole transit: head flit pays the hops, tail streams.
-            tail_arrival = (inject + self._dist[src][dst] * self._hop_cycles
+            row = self._dist[src]
+            if row is None:
+                row = self._dist[src] = self.topology.row(src)
+            tail_arrival = (inject + row[dst] * self._hop_cycles
                             + (flits - 1) * flit_cycles)
             # Exit-port queuing at the destination.
             exit_free = self._exit_free

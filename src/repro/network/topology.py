@@ -4,10 +4,11 @@ Nodes are numbered row-major on a ``width x height`` grid.  Distances
 come from coordinate arithmetic — Manhattan for the mesh, wraparound
 Manhattan for the torus — so no topology needs O(N^2) state.  The mesh
 fast path (:mod:`repro.network.mesh` indexes ``topology._dist[src][dst]``
-on every message) still gets a table: a dense precomputed one on small
-machines, exactly as before, and lazily materialized per-source rows on
-large ones, so a 1024-node machine costs one row per *sending* node
-instead of 1M+ entries up front.
+on every remote message) reads per-source distance rows, and the mesh
+fills a node's row on that node's first remote send: a 1024-node machine
+costs one row per *sending* node instead of 1M+ entries up front.  A row
+is not computed pair by pair; it is a run of slices of small per-axis
+tables, so it costs about ``height`` C-level copies.
 """
 
 from __future__ import annotations
@@ -18,35 +19,6 @@ from ..config import MachineConfig, balanced_width
 from ..errors import ConfigError
 
 __all__ = ["Mesh2D", "Torus2D", "make_topology"]
-
-# Keep the dense all-pairs table while it stays at or under 64k entries
-# (256 nodes); beyond that, rows materialize lazily on first send.
-_DENSE_LIMIT = 65536
-
-
-class _LazyRows:
-    """Per-source distance rows, computed on first use.
-
-    Quacks like the dense ``list[list[int]]`` table for the only access
-    pattern the mesh uses (``_dist[src][dst]``), but holds one compact
-    ``array('i')`` row per source node that has actually sent a message.
-    """
-
-    __slots__ = ("_topology", "_rows")
-
-    def __init__(self, topology: "Mesh2D") -> None:
-        self._topology = topology
-        self._rows: dict[int, array] = {}
-
-    def __getitem__(self, src: int) -> array:
-        row = self._rows.get(src)
-        if row is None:
-            row = self._topology._row(src)
-            self._rows[src] = row
-        return row
-
-    def __len__(self) -> int:
-        return self._topology.n_nodes
 
 
 class Mesh2D:
@@ -79,30 +51,45 @@ class Mesh2D:
         # Cached coordinates, one flat array per axis: O(N) state.
         self._x = array("i", (node % width for node in range(n_nodes)))
         self._y = array("i", (node // width for node in range(n_nodes)))
-        # Distance rows for the mesh fast path (`_dist[src][dst]`):
-        # dense for small machines (bit-identical to the historical
-        # table), lazy per-source rows past _DENSE_LIMIT entries.
-        if n_nodes * n_nodes <= _DENSE_LIMIT:
-            self._dist: list[list[int]] | _LazyRows = [
-                list(self._row(src)) for src in range(n_nodes)
-            ]
-        else:
-            self._dist = _LazyRows(self)
+        # Per-axis distance tables, summed: _bands[dy][j] is the y-axis
+        # distance of a dy-row offset plus the x-axis distance of the
+        # column offset j - (width - 1).  Every distance row is a run of
+        # slices of these bands, so building one costs `height` C-level
+        # copies, and the tables hold O(N) entries on any grid shape.
+        axis = self._axis_distance
+        x_band = array("i", (axis(abs(dx), width)
+                             for dx in range(1 - width, width)))
+        self._bands = [
+            array("i", map(axis(dy, self.height).__add__, x_band))
+            for dy in range(self.height)
+        ]
+        # Distance rows for the mesh fast path (`_dist[src][dst]`): the
+        # mesh fills a node's row on that node's first remote send.
+        self._dist: list[array | None] = [None] * n_nodes
 
-    # -- distance arithmetic (O(1), no table) --------------------------
+    # -- distance arithmetic (O(1)) and distance rows ------------------
 
     def pair_distance(self, ax: int, ay: int, bx: int, by: int) -> int:
         """Hop count between two coordinate pairs."""
         return abs(ax - bx) + abs(ay - by)
 
-    def _row(self, src: int) -> array:
+    def _axis_distance(self, offset: int, size: int) -> int:
+        """Hop count along one axis of ``size`` positions."""
+        return offset
+
+    def row(self, src: int) -> array:
         """All distances from ``src``, as one compact row."""
-        ax, ay = self._x[src], self._y[src]
-        pair = self.pair_distance
-        x, y = self._x, self._y
-        return array(
-            "i", (pair(ax, ay, x[b], y[b]) for b in range(self.n_nodes))
-        )
+        width = self.width
+        lo = width - 1 - self._x[src]
+        hi = lo + width
+        ay = self._y[src]
+        bands = self._bands
+        out = array("i")
+        for y in range(self.height):
+            out += bands[abs(ay - y)][lo:hi]
+        # The slice cuts a partial mesh's dead positions and is an
+        # exact-size copy, without the growth slack `+=` leaves behind.
+        return out[:self.n_nodes]
 
     def coords(self, node: int) -> tuple[int, int]:
         """Return the ``(x, y)`` position of ``node``."""
@@ -197,6 +184,9 @@ class Torus2D(Mesh2D):
                 f"width {width}"
             )
         super().__init__(n_nodes, width)
+
+    def _axis_distance(self, offset: int, size: int) -> int:
+        return min(offset, size - offset)
 
     def pair_distance(self, ax: int, ay: int, bx: int, by: int) -> int:
         dx = abs(ax - bx)

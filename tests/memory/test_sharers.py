@@ -102,6 +102,24 @@ class TestLimitedPointer:
         s.replace([0, 1, 2, 3])
         assert s.overflowed
 
+    def test_broadcast_targets_every_size(self):
+        for n in (1, 9, 1024):
+            s = LimitedPointerSet(n, pointers=1)
+            if n == 1:
+                # One node cannot overflow by adding sharers; force the
+                # broadcast state to check the list's smallest case.
+                s._overflow = True
+            else:
+                s.add(0)
+                assert not s.overflowed         # precise: members only
+                assert s.targets(n - 1) == [0] and s.targets(0) == []
+                s.add(n - 1)
+            assert s.overflowed
+            for exclude in (0, n // 2, n - 1):
+                assert s.targets(exclude) == [
+                    node for node in range(n) if node != exclude
+                ]
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             LimitedPointerSet(0, 2)

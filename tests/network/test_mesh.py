@@ -55,6 +55,23 @@ def test_remote_latency_scales_with_distance():
     assert far_latency > near_latency
 
 
+def test_distance_rows_built_on_first_remote_send():
+    sim, config, mesh = build(n_nodes=64)
+    dist = mesh.topology._dist
+    assert dist == [None] * 64          # a fresh mesh holds no rows
+    for node in range(64):
+        mesh.register(node, Unit.HOME, lambda m: None)
+    mesh.send(msg(9, 9))                # node-local: no row needed
+    assert dist == [None] * 64
+    mesh.send(msg(9, 40))
+    row = dist[9]
+    assert list(row) == list(mesh.topology.row(9))
+    assert [n for n, r in enumerate(dist) if r is not None] == [9]
+    mesh.send(msg(9, 63))
+    assert dist[9] is row               # the second send reuses it
+    sim.run()
+
+
 def test_data_messages_are_larger():
     sim, config, mesh = build()
     m_ctrl = msg(0, 1, MessageType.GETS)

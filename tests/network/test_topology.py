@@ -87,7 +87,7 @@ def test_zero_nodes_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Scale: balanced default widths, lazy distance rows, torus wraparound.
+# Scale: balanced default widths, distance rows, torus wraparound.
 # ---------------------------------------------------------------------------
 
 def test_default_width_is_factor_balanced():
@@ -101,18 +101,27 @@ def test_default_width_is_factor_balanced():
     assert balanced_width(256) == 16
 
 
-def test_dense_and_lazy_tables_agree():
-    from repro.network.topology import _DENSE_LIMIT, _LazyRows
+def test_distance_rows_match_distance():
+    from repro.network.topology import Torus2D
 
-    small = Mesh2D(64)
-    assert isinstance(small._dist, list)  # dense: the historical table
-    big = Mesh2D(1024)
-    assert isinstance(big._dist, _LazyRows)
-    assert 1024 * 1024 > _DENSE_LIMIT
-    for a, b in [(0, 1023), (31, 992), (500, 501), (77, 77)]:
-        assert big._dist[a][b] == big.distance(a, b)
-    # Rows are cached: same object on the second access.
-    assert big._dist[5] is big._dist[5]
+    for topo in (Mesh2D(1), Mesh2D(7), Mesh2D(64), Torus2D(64),
+                 Torus2D(12, width=3)):
+        n = topo.n_nodes
+        for a in range(n):
+            row = topo.row(a)
+            assert len(row) == n
+            for b in range(n):
+                assert row[b] == topo.distance(a, b)
+    # Large machines, a partial mesh among them: sampled pairs,
+    # corners and the last (ragged) row included.
+    pairs = [(0, 1023), (31, 992), (500, 501), (77, 77),
+             (1023, 0), (992, 31), (0, 999), (999, 968), (512, 17)]
+    for topo in (Mesh2D(1000, width=31), Mesh2D(1024), Torus2D(1024)):
+        n = topo.n_nodes
+        for a, b in pairs:
+            if a < n and b < n:
+                assert len(topo.row(a)) == n
+                assert topo.row(a)[b] == topo.distance(a, b)
 
 
 def test_large_machine_construction_is_cheap():

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.harness.perf import PERF_KERNELS
+from repro.harness.perf import _CHURN_DELAYS, PERF_KERNELS
 from repro.obs.profile import (
     ComponentProfiler,
     active_profiler,
@@ -158,35 +158,61 @@ def test_cleared_heartbeat_restores_fast_loop(monkeypatch):
     assert done == [1]
 
 
-def test_disabled_overhead_within_two_percent():
+def _churn_on(sim):
+    """The event_churn kernel's quick workload, on a given simulator."""
+    remaining = [60_000]
+    schedule = sim.schedule
+
+    def tick(_token):
+        left = remaining[0]
+        if left:
+            remaining[0] = left - 1
+            schedule(_CHURN_DELAYS[left & 7], tick, left)
+
+    for chain in range(16):
+        schedule(chain & 3, tick, chain)
+    sim.run()
+    return sim.events_processed
+
+
+def test_disabled_overhead_within_two_percent(monkeypatch):
     """The ≤2% wall-clock gate for the disabled path on event_churn.
 
-    Baseline and gated runs are identical *today* (both take the fast
-    loop); the gate exists so a future change that routes disabled runs
-    through the observed loop — e.g. a ``clear_heartbeat`` that leaves
-    the switch armed, or observability checks moved inside the hot loop
-    — fails loudly.  Interleaved best-of-N with retries, mirroring
+    The gated side runs its churn on a simulator whose heartbeat was
+    installed and cleared, with ``_run_observed`` patched to raise: a
+    ``clear_heartbeat`` that leaves the switch armed fails here
+    deterministically, before any timing.  The wall-clock gate then
+    catches observability checks moved inside the hot loop itself.
+    Interleaved best-of-N with retries, mirroring
     tests/obs/test_overhead.py.
     """
+    def boom(self, until=None, max_events=None):
+        raise AssertionError("observed loop entered while disabled")
+
+    monkeypatch.setattr(Simulator, "_run_observed", boom)
+
     def timed_disabled():
         # The full disabled configuration a flag-less CLI run produces:
         # a profiled session was active *earlier* but is over, and a
-        # heartbeat was installed and cleared.
+        # heartbeat was installed and cleared on the simulator that runs.
         with profiled():
             pass
         sim = Simulator()
         sim.set_heartbeat(10_000, lambda now, events, depth: None)
         sim.clear_heartbeat()
         t0 = time.perf_counter()
-        _churn()
-        return time.perf_counter() - t0
+        events = _churn_on(sim)
+        elapsed = time.perf_counter() - t0
+        assert events == expected_events
+        return elapsed
 
     def timed_plain():
+        sim = Simulator()
         t0 = time.perf_counter()
-        _churn()
+        _churn_on(sim)
         return time.perf_counter() - t0
 
-    _churn()                            # warm-up
+    expected_events = _churn_on(Simulator())    # warm-up
     for _attempt in range(3):
         baseline, gated = [], []
         for _ in range(7):
